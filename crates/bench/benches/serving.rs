@@ -308,7 +308,7 @@ fn bench(c: &mut Criterion) {
     );
 
     // Same stream batched 16 arrivals per PlaceBatch frame: fewer round
-    // trips and one fleet-lock acquisition per burst.
+    // trips, one frame per burst.
     let batched = load::run(&LoadConfig {
         addr: addr.clone(),
         seed: 7,

@@ -111,8 +111,10 @@ pub fn placement_delta(model: &dyn FpsModel, members: &[Placement], candidate: P
 ///   under; a version mismatch is a miss, so reloads invalidate for free.
 /// * **Admit** — the incremental selectors store the chosen server's
 ///   `after` sum at selection time, under the contract that the caller
-///   admits the candidate there (both the daemon and the simulator do, and
-///   both hold their fleet lock across select + admit).
+///   admits the candidate there (the simulator does; the daemon, which
+///   releases its shard lock between selecting and admitting, invalidates
+///   the entry and [`store`](ScoreCache::store)s it back when it admits
+///   the selection unchanged).
 /// * **Depart** — the caller must call [`invalidate`](ScoreCache::invalidate)
 ///   for the server that lost a session; the sum is rebuilt lazily on the
 ///   server's next appearance in an eligible set.
@@ -163,8 +165,10 @@ impl ScoreCache {
     }
 
     /// Record a server's summed FPS under `version` (freshly computed, or
-    /// the post-admit sum of a pending admission).
-    fn store(&mut self, server: usize, version: u64, sum: f64) {
+    /// the post-admit sum of a pending admission). A caller that had to
+    /// [`invalidate`](ScoreCache::invalidate) a speculative selection and
+    /// later admits it unchanged restores [`Selection::server_sum`] here.
+    pub fn store(&mut self, server: usize, version: u64, sum: f64) {
         self.sums[server] = Some((version, sum));
     }
 

@@ -281,10 +281,11 @@ impl Client {
         }
     }
 
-    /// Place a burst of sessions in one round-trip. The daemon decides the
-    /// whole batch under a single fleet-lock acquisition; returns the model
-    /// version that made the decisions plus one outcome per request, in
-    /// request order. Individual rejections do not fail the call.
+    /// Place a burst of sessions in one round-trip. The daemon places the
+    /// items in order, each with the same admit as a lone `Place`; returns
+    /// the model version that made the decisions plus one outcome per
+    /// request, in request order. Individual rejections do not fail the
+    /// call.
     pub fn place_batch(
         &mut self,
         requests: &[WirePlacement],

@@ -10,18 +10,19 @@
 //!   until EOF, read timeout, or protocol violation. Handlers pin the
 //!   current model `Arc` per request, so `ReloadModel` never disturbs
 //!   in-flight work.
-//! * **Shutdown** — `DaemonHandle::shutdown()` stops the acceptor, closes
-//!   the queue (which *drains*: queued connections are still served, in
-//!   drain mode answering exactly the frames already in flight), joins all
-//!   threads and returns the final stats snapshot.
+//! * **Shutdown** — `DaemonHandle::shutdown()` (or a wire `Shutdown`) stops
+//!   the acceptor, closes the queue (which *drains*: queued connections are
+//!   still served, in drain mode answering exactly the frames already in
+//!   flight) and wakes every worker blocked reading an idle client; the
+//!   handle then joins all threads and returns the final stats snapshot.
 //!
 //! Fleet state is partitioned into [`DaemonConfig::shards`] placement
 //! domains, each owning a contiguous disjoint server range behind its own
 //! mutex (occupancy + score cache + epoch counter). `Place` scores every
-//! shard under that shard's lock only and admits under the winning shard's
-//! lock with epoch re-validation — no global fleet lock exists anywhere on
-//! the `Place`/`Depart` hot path. With `shards = 1` the daemon runs the
-//! classic single-lock path bit-identically.
+//! shard under that shard's lock only and admits the winning selection
+//! under the winning shard's lock once the shard epoch proves it current —
+//! no global fleet lock exists anywhere on the `Place`/`Depart` hot path.
+//! Every shard count, one included, runs this same two-phase admit.
 
 use crate::cluster::ClusterState;
 use crate::fault::{FaultAction, FaultInjector, InjectionPoint};
@@ -40,9 +41,10 @@ use crate::wire::{
 };
 use gaugur_core::Placement;
 use gaugur_sched::{
-    rank_shard_selections, select_server_incremental_with, PlacementScratch, ScoreCache, Selection,
+    rank_shard_selections, select_server_incremental_with, PlacementScratch, PredictScratch,
+    ScoreCache, Selection,
 };
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::cell::RefCell;
 use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -92,8 +94,9 @@ pub struct DaemonConfig {
     /// Placement shard count. Servers are partitioned into this many
     /// contiguous disjoint ranges, each behind its own lock, so concurrent
     /// placements on different shards never contend. Clamped to
-    /// `[1, n_servers]`; `1` (the default) reproduces the single-lock
-    /// daemon bit-identically.
+    /// `[1, n_servers]`; `1` (the default) keeps the whole fleet in one
+    /// domain. The count only bounds the placement loop: every value runs
+    /// the same two-phase admit.
     pub shards: usize,
     /// SLO-engine tuning: error budgets, the place-latency target, and the
     /// warn/critical burn-rate thresholds.
@@ -167,8 +170,8 @@ struct Shared {
     model: ModelHandle,
     memo: PredictionMemo,
     /// The fleet, partitioned into independently locked placement domains
-    /// over disjoint contiguous server ranges. Exactly one entry when
-    /// `config.shards` is 1 — the classic single-lock fleet.
+    /// over disjoint contiguous server ranges (one entry when
+    /// `config.shards` is 1).
     shards: Vec<Mutex<Shard>>,
     /// Global index of each shard's first server; global server =
     /// `shard_base[s] + local`.
@@ -179,6 +182,10 @@ struct Shared {
     /// worker can attribute the wait to the `queue_wait` stage.
     queue: WorkQueue<(TcpStream, Instant)>,
     shutdown: AtomicBool,
+    /// One slot per worker holding a handle on the connection it is
+    /// serving, so [`Shared::begin_shutdown`] can wake a worker blocked
+    /// reading an idle client.
+    serving: Vec<Mutex<Option<TcpStream>>>,
     feedback: Feedback,
     /// Sender side of the retrainer's job queue; `None` once shutdown has
     /// begun (taking it is what lets the retrainer thread exit).
@@ -201,6 +208,23 @@ impl Shared {
     /// shard, whose cluster then answers "unknown" for ids it never minted.
     fn shard_of_session(&self, id: u64) -> usize {
         (id.wrapping_sub(1) % self.shards.len() as u64) as usize
+    }
+
+    /// Start the drain, from the handle or the wire: refuse new work, close
+    /// the queue (queued connections are still served, in drain mode), and
+    /// shut the read side of every connection a worker is serving. Bytes
+    /// already received stay readable, so frames in flight are answered;
+    /// an idle reader sees EOF at once instead of waiting out its read
+    /// timeout. A worker that installs its slot after the scan below sees
+    /// the flag before its first read and takes the short drain timeout.
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.queue.close();
+        for slot in &self.serving {
+            if let Some(stream) = &*slot.lock() {
+                let _ = stream.shutdown(std::net::Shutdown::Read);
+            }
+        }
     }
 
     fn snapshot(&self) -> StatsSnapshot {
@@ -322,25 +346,9 @@ impl DaemonHandle {
 
     /// Stop accepting, drain queued and in-flight work, join every thread,
     /// and return the final statistics.
-    pub fn shutdown(mut self) -> StatsSnapshot {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.queue.close();
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        // Dropping the sender lets the retrainer finish queued jobs and exit.
-        self.shared.retrain_tx.lock().take();
-        if let Some(r) = self.retrainer.take() {
-            let _ = r.join();
-        }
-        let snap = self.shared.snapshot();
-        if self.shared.config.print_stats_on_shutdown {
-            println!("{snap}");
-        }
-        snap
+    pub fn shutdown(self) -> StatsSnapshot {
+        self.shared.begin_shutdown();
+        self.wait()
     }
 
     /// Block until a `Shutdown` request arrives over the wire, then drain
@@ -349,10 +357,13 @@ impl DaemonHandle {
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
         }
-        self.shared.queue.close();
+        // The acceptor only exits once shutdown has begun (or its listener
+        // failed); either way nothing new will arrive.
+        self.shared.begin_shutdown();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
+        // Dropping the sender lets the retrainer finish queued jobs and exit.
         self.shared.retrain_tx.lock().take();
         if let Some(r) = self.retrainer.take() {
             let _ = r.join();
@@ -395,8 +406,7 @@ fn teardown_after_spawn_failure(
     workers: Vec<JoinHandle<()>>,
     retrainer: Option<JoinHandle<()>>,
 ) {
-    shared.shutdown.store(true, Ordering::SeqCst);
-    shared.queue.close();
+    shared.begin_shutdown();
     for w in workers {
         let _ = w.join();
     }
@@ -448,6 +458,7 @@ fn start_with(
         trace: TraceCollector::new(workers_n, SLOW_LOG_CAPACITY),
         queue: WorkQueue::new(config.queue_capacity),
         shutdown: AtomicBool::new(false),
+        serving: (0..workers_n).map(|_| Mutex::new(None)).collect(),
         feedback: Feedback::new(config.feedback),
         retrain_tx: Mutex::new(Some(retrain_tx)),
         windowed: WindowedCollector::new(workers_n, n_shards, clock.clone()),
@@ -642,7 +653,9 @@ fn worker_loop(shared: &Shared, worker: usize) {
         let wait_us = elapsed_us(enqueued);
         shared.trace.record_stage(worker, Stage::QueueWait, wait_us);
         shared.windowed.record_queue_wait(worker, wait_us);
+        *shared.serving[worker].lock() = stream.try_clone().ok();
         serve_connection(shared, worker, stream);
+        *shared.serving[worker].lock() = None;
         shared.stats.note_connection_closed();
     }
 }
@@ -913,32 +926,24 @@ struct RequestSideEffects {
     events: Vec<Event>,
 }
 
-/// Per-worker buffers for the multi-shard two-phase admit: one candidate
-/// slot per shard, the epochs those candidates were scored at, and the
-/// cross-shard ranking. Lives beside [`SCRATCH`] so the multi-shard path
-/// stays allocation-free in steady state too.
-struct ShardScratch {
+/// Per-worker placement buffers: the scorer's colocation batches,
+/// degradation query plans and feature buffers, plus the two-phase admit's
+/// per-shard candidate slots, the epochs they were scored at and the
+/// cross-shard ranking.
+#[derive(Default)]
+struct WorkerScratch {
+    scorer: PlacementScratch,
     candidates: Vec<Option<Selection>>,
     epochs: Vec<u64>,
     order: Vec<usize>,
 }
 
 thread_local! {
-    /// Per-worker placement scratch: colocation batches, degradation query
-    /// plans, feature buffers. Each daemon worker thread owns one, so the
+    /// Each daemon worker thread owns one [`WorkerScratch`], so the
     /// steady-state `Place`/`PlaceBatch`/`Predict` path allocates nothing —
     /// buffers grow on the first request and are reused for the thread's
     /// lifetime.
-    static SCRATCH: RefCell<PlacementScratch> = RefCell::new(PlacementScratch::new());
-
-    /// Per-worker two-phase admit buffers (see [`ShardScratch`]).
-    static SHARD_SCRATCH: RefCell<ShardScratch> = const {
-        RefCell::new(ShardScratch {
-            candidates: Vec::new(),
-            epochs: Vec::new(),
-            order: Vec::new(),
-        })
-    };
+    static SCRATCH: RefCell<WorkerScratch> = RefCell::new(WorkerScratch::default());
 }
 
 /// Lost-race budget for the two-phase admit: how many times a `Place` will
@@ -946,43 +951,34 @@ thread_local! {
 /// before settling for the best shard that still admits.
 const MAX_ADMIT_RETRIES: u32 = 3;
 
-/// Choose a server incrementally, predict the new session's FPS against the
-/// pre-admit co-runners, and admit it — the shared core of `Place` and
-/// `PlaceBatch`. The caller holds this shard's lock and has validated the
-/// game; the returned server index is global (`shard_base` + local). All
-/// model queries route through the batch API via the worker's `scratch`.
+/// Reply reason for a placement no server can take.
+const SATURATED: &str = "no eligible server (fleet saturated)";
+
+/// Lock shard `s`, attributing the wait to the `place_admit_wait` stage.
+fn lock_shard<'a>(shared: &'a Shared, s: usize, trace: &mut RequestTrace) -> MutexGuard<'a, Shard> {
+    let wait_started = Instant::now();
+    let shard = shared.shards[s].lock();
+    trace.add(Stage::PlaceAdmitWait, elapsed_us(wait_started));
+    shard
+}
+
+/// Admit `sel`, a selection scored against shard `s`'s current occupancy:
+/// predict the new session's FPS against the pre-admit co-runners, admit
+/// it, and remember the admission for rollback should its reply never be
+/// delivered. The caller holds the shard's lock; the returned server index
+/// is global (`shard_base` + local).
 #[allow(clippy::too_many_arguments)]
-fn admit_one_in_shard(
+fn admit_selection(
     shared: &Shared,
     model: &LoadedModel,
     shard: &mut Shard,
-    shard_base: usize,
-    scratch: &mut PlacementScratch,
+    s: usize,
+    predict: &mut PredictScratch,
     placement: Placement,
+    sel: Selection,
     admitted: &mut Vec<Admitted>,
     trace: &mut RequestTrace,
-) -> Option<(u64, usize, f64)> {
-    let fps_model = MemoizedFps {
-        model,
-        memo: &shared.memo,
-        qos: shared.config.qos,
-    };
-    let Shard {
-        cluster,
-        scores,
-        epoch,
-    } = shard;
-    let place_started = Instant::now();
-    let sel = select_server_incremental_with(
-        &*cluster,
-        placement,
-        &fps_model,
-        model.version,
-        scores,
-        scratch,
-    );
-    trace.add(Stage::Place, elapsed_us(place_started));
-    let sel = sel?;
+) -> (u64, usize, f64) {
     // Co-runners of the new session = the server's pre-admit occupancy, so
     // predict before admitting (borrowed — no fleet clone on the hot path).
     let predict_started = Instant::now();
@@ -990,39 +986,40 @@ fn admit_one_in_shard(
         model,
         shared.config.qos,
         placement,
-        cluster.members(sel.server),
-        &mut scratch.predict,
+        shard.cluster.members(sel.server),
+        predict,
     );
     trace.add(Stage::Predict, elapsed_us(predict_started));
-    let session = cluster.admit(sel.server, placement);
-    *epoch += 1;
+    let session = shard.cluster.admit(sel.server, placement);
+    shard.epoch += 1;
     shared.stats.note_admitted();
+    let server = shared.shard_base[s] + sel.server;
     admitted.push(Admitted {
         session,
-        server: shard_base + sel.server,
+        server,
         version: model.version,
         game: placement.0 .0 as u64,
         before_sum: sel.before_sum,
         after_sum: sel.server_sum,
     });
-    Some((session, shard_base + sel.server, prediction.fps))
+    (session, server, prediction.fps)
 }
 
-/// Two-phase admit across >1 shards. Phase 1 scores every shard under that
-/// shard's own (briefly held) lock, invalidating the speculative winner
-/// entry before unlocking — the score cache's admit-or-invalidate contract
-/// does not survive a lock release. Phase 2 ranks the candidates and admits
-/// under only the winning shard's lock, re-validating via the shard epoch
-/// that the occupancy the ranking was computed from is still in force; a
-/// lost race re-scores (bounded by [`MAX_ADMIT_RETRIES`]), after which the
-/// request settles for the best-ranked shard that still admits.
-#[allow(clippy::too_many_arguments)]
-fn place_multi(
+/// Place one session with the two-phase admit, the one placement path for
+/// every shard count. Phase 1 scores each shard under that shard's own
+/// (briefly held) lock, invalidating the speculative winner entry before
+/// unlocking — the score cache's admit-or-invalidate contract does not
+/// survive a lock release. Phase 2 ranks the candidates and locks only the
+/// winning shard. An unchanged epoch proves the ranking was computed from
+/// the occupancy still in force, so the phase-1 selection is admitted as
+/// it is, without scoring again. A lost race re-scores (bounded by
+/// [`MAX_ADMIT_RETRIES`]), after which the request settles for the
+/// best-ranked shard that still admits, scored afresh under its lock.
+fn place(
     shared: &Shared,
     worker: usize,
     model: &LoadedModel,
-    scratch: &mut PlacementScratch,
-    ss: &mut ShardScratch,
+    ws: &mut WorkerScratch,
     placement: Placement,
     admitted: &mut Vec<Admitted>,
     trace: &mut RequestTrace,
@@ -1032,13 +1029,17 @@ fn place_multi(
         memo: &shared.memo,
         qos: shared.config.qos,
     };
+    let WorkerScratch {
+        scorer,
+        candidates,
+        epochs,
+        order,
+    } = ws;
     for attempt in 0..=MAX_ADMIT_RETRIES {
-        ss.candidates.clear();
-        ss.epochs.clear();
+        candidates.clear();
+        epochs.clear();
         for s in 0..shared.shards.len() {
-            let wait_started = Instant::now();
-            let mut shard = shared.shards[s].lock();
-            trace.add(Stage::PlaceAdmitWait, elapsed_us(wait_started));
+            let mut shard = lock_shard(shared, s, trace);
             let place_started = Instant::now();
             let Shard {
                 cluster,
@@ -1051,7 +1052,7 @@ fn place_multi(
                 &fps_model,
                 model.version,
                 scores,
-                scratch,
+                scorer,
             );
             if let Some(sel) = &sel {
                 // We may never come back to this shard: drop the
@@ -1059,30 +1060,32 @@ fn place_multi(
                 scores.invalidate(sel.server);
             }
             trace.add(Stage::Place, elapsed_us(place_started));
-            ss.epochs.push(*epoch);
-            ss.candidates.push(sel);
+            epochs.push(*epoch);
+            candidates.push(sel);
         }
-        rank_shard_selections(&ss.candidates, &mut ss.order);
-        let Some(&winner) = ss.order.first() else {
-            return None; // every shard is saturated for this game
-        };
-        let wait_started = Instant::now();
-        let mut shard = shared.shards[winner].lock();
-        trace.add(Stage::PlaceAdmitWait, elapsed_us(wait_started));
-        if shard.epoch == ss.epochs[winner] {
-            // Occupancy unchanged since scoring, so the under-lock re-score
-            // deterministically reproduces the phase-1 selection (and
-            // restores the cache entry invalidated above) before admitting.
-            return admit_one_in_shard(
+        rank_shard_selections(candidates, order);
+        // No ranked shard: every shard is saturated for this game.
+        let &winner = order.first()?;
+        let mut shard = lock_shard(shared, winner, trace);
+        if shard.epoch == epochs[winner] {
+            // Occupancy unchanged since scoring: the phase-1 selection is
+            // still exact. Restore the post-admit sum invalidated above and
+            // admit it.
+            let sel = candidates[winner].expect("ranked shards hold a selection");
+            shard
+                .scores
+                .store(sel.server, model.version, sel.server_sum);
+            return Some(admit_selection(
                 shared,
                 model,
                 &mut shard,
-                shared.shard_base[winner],
-                scratch,
+                winner,
+                &mut scorer.predict,
                 placement,
+                sel,
                 admitted,
                 trace,
-            );
+            ));
         }
         drop(shard);
         if attempt < MAX_ADMIT_RETRIES {
@@ -1092,62 +1095,78 @@ fn place_multi(
     // Out of retries under sustained contention: give up on cross-shard
     // optimality and take the best-ranked shard that still admits.
     shared.stats.note_admit_fallback();
-    for i in 0..ss.order.len() {
-        let s = ss.order[i];
-        let wait_started = Instant::now();
-        let mut shard = shared.shards[s].lock();
-        trace.add(Stage::PlaceAdmitWait, elapsed_us(wait_started));
-        if let Some(placed) = admit_one_in_shard(
-            shared,
-            model,
-            &mut shard,
-            shared.shard_base[s],
-            scratch,
+    for &s in order.iter() {
+        let mut shard = lock_shard(shared, s, trace);
+        let place_started = Instant::now();
+        let Shard {
+            cluster, scores, ..
+        } = &mut *shard;
+        let sel = select_server_incremental_with(
+            &*cluster,
             placement,
-            admitted,
-            trace,
-        ) {
+            &fps_model,
+            model.version,
+            scores,
+            scorer,
+        );
+        trace.add(Stage::Place, elapsed_us(place_started));
+        if let Some(sel) = sel {
             shared.windowed.record_fallback(worker, s);
-            return Some(placed);
+            return Some(admit_selection(
+                shared,
+                model,
+                &mut shard,
+                s,
+                &mut scorer.predict,
+                placement,
+                sel,
+                admitted,
+                trace,
+            ));
         }
     }
     None
 }
 
-/// Place one session: the single-shard fast path is exactly the classic
-/// single-lock daemon — one lock held across choose + admit, no speculative
-/// invalidation — so its decisions, predictions and score-cache hit/miss
-/// streams are bit-identical to the unsharded implementation. Multi-shard
-/// fleets go through the two-phase [`place_multi`].
-fn place_one(
+/// Place one `Place` request or `PlaceBatch` item and record its admit-time
+/// telemetry: the SLO place attempt — saturation *is* the QoS floor biting,
+/// no server keeps the game above its floor — and, for the request's first
+/// admitted session, the slow-ring session and shard, one concrete session
+/// to start debugging a slow burst from.
+fn place_and_record(
     shared: &Shared,
     worker: usize,
     model: &LoadedModel,
-    scratch: &mut PlacementScratch,
     placement: Placement,
     admitted: &mut Vec<Admitted>,
     trace: &mut RequestTrace,
+    meta: &mut SlowMeta,
 ) -> Option<(u64, usize, f64)> {
-    if shared.shards.len() == 1 {
-        let wait_started = Instant::now();
-        let mut shard = shared.shards[0].lock();
-        trace.add(Stage::PlaceAdmitWait, elapsed_us(wait_started));
-        return admit_one_in_shard(
-            shared, model, &mut shard, 0, scratch, placement, admitted, trace,
-        );
-    }
-    SHARD_SCRATCH.with(|ss| {
-        place_multi(
+    let game = placement.0 .0 as u64;
+    let placed = SCRATCH.with(|ws| {
+        place(
             shared,
             worker,
             model,
-            scratch,
-            &mut ss.borrow_mut(),
+            &mut ws.borrow_mut(),
             placement,
             admitted,
             trace,
         )
-    })
+    });
+    let Some((session, ..)) = placed else {
+        shared.windowed.record_place_attempt(worker, game, None);
+        return None;
+    };
+    let shard = shared.shard_of_session(session);
+    shared
+        .windowed
+        .record_place_attempt(worker, game, Some(shard));
+    if meta.session.is_none() {
+        meta.session = Some(session);
+        meta.shard = Some(shard as u64);
+    }
+    placed
 }
 
 /// Ingest a batch of outcome reports (the shared body of `ReportOutcome`
@@ -1255,130 +1274,61 @@ fn handle_request(
                     false,
                 );
             }
-            match SCRATCH.with(|s| {
-                place_one(
-                    shared,
-                    worker,
-                    &model,
-                    &mut s.borrow_mut(),
-                    (*game, *resolution),
-                    admitted,
-                    trace,
-                )
-            }) {
-                Some((session, server, predicted_fps)) => {
-                    let shard = shared.shard_of_session(session);
-                    shared
-                        .windowed
-                        .record_place_attempt(worker, game.0 as u64, Some(shard));
-                    effects.meta.session = Some(session);
-                    effects.meta.shard = Some(shard as u64);
-                    (
-                        Response::Placed {
-                            session,
-                            server,
-                            predicted_fps,
-                            model_version: model.version,
-                        },
-                        true,
-                    )
-                }
-                None => {
-                    // Saturation *is* the QoS floor biting: no server keeps
-                    // this game above its floor — the admit-time SLO signal.
-                    shared
-                        .windowed
-                        .record_place_attempt(worker, game.0 as u64, None);
-                    (
-                        Response::Rejected {
-                            reason: "no eligible server (fleet saturated)".into(),
-                        },
-                        true,
-                    )
-                }
-            }
+            let response = match place_and_record(
+                shared,
+                worker,
+                &model,
+                (*game, *resolution),
+                admitted,
+                trace,
+                &mut effects.meta,
+            ) {
+                Some((session, server, predicted_fps)) => Response::Placed {
+                    session,
+                    server,
+                    predicted_fps,
+                    model_version: model.version,
+                },
+                None => Response::Rejected {
+                    reason: SATURATED.into(),
+                },
+            };
+            (response, true)
         }
         Request::PlaceBatch { requests } => {
             let model = shared.model.get();
             effects.meta.model_version = Some(model.version);
             // Items place in order and fail independently (unknown game or
-            // saturation). Single-shard fleets take one lock acquisition
-            // (and one scratch borrow) for the whole burst — the classic
-            // batch path; sharded fleets run each item's two-phase admit so
-            // a long burst never pins any one shard.
-            let results: Vec<BatchPlaceResult> = SCRATCH.with(|s| {
-                let scratch = &mut *s.borrow_mut();
-                let mut single = (shared.shards.len() == 1).then(|| {
-                    let wait_started = Instant::now();
-                    let shard = shared.shards[0].lock();
-                    trace.add(Stage::PlaceAdmitWait, elapsed_us(wait_started));
-                    shard
-                });
-                requests
-                    .iter()
-                    .map(|&(game, resolution)| {
-                        if !model.knows_game(game) {
-                            return BatchPlaceResult::Rejected {
-                                reason: format!("unknown game {}", game.0),
-                            };
-                        }
-                        let placed = match &mut single {
-                            Some(shard) => admit_one_in_shard(
-                                shared,
-                                &model,
-                                shard,
-                                0,
-                                scratch,
-                                (game, resolution),
-                                admitted,
-                                trace,
-                            ),
-                            None => SHARD_SCRATCH.with(|ss| {
-                                place_multi(
-                                    shared,
-                                    worker,
-                                    &model,
-                                    scratch,
-                                    &mut ss.borrow_mut(),
-                                    (game, resolution),
-                                    admitted,
-                                    trace,
-                                )
-                            }),
+            // saturation). Each item runs its own two-phase admit, so a
+            // long burst never pins any one shard.
+            let results: Vec<BatchPlaceResult> = requests
+                .iter()
+                .map(|&(game, resolution)| {
+                    if !model.knows_game(game) {
+                        return BatchPlaceResult::Rejected {
+                            reason: format!("unknown game {}", game.0),
                         };
-                        match placed {
-                            Some((session, server, predicted_fps)) => {
-                                let shard = shared.shard_of_session(session);
-                                shared.windowed.record_place_attempt(
-                                    worker,
-                                    game.0 as u64,
-                                    Some(shard),
-                                );
-                                // The ring entry points at the batch's first
-                                // admitted session — one concrete session to
-                                // start debugging a slow burst from.
-                                if effects.meta.session.is_none() {
-                                    effects.meta.session = Some(session);
-                                    effects.meta.shard = Some(shard as u64);
-                                }
-                                BatchPlaceResult::Placed {
-                                    session,
-                                    server,
-                                    predicted_fps,
-                                }
-                            }
-                            None => {
-                                shared
-                                    .windowed
-                                    .record_place_attempt(worker, game.0 as u64, None);
-                                BatchPlaceResult::Rejected {
-                                    reason: "no eligible server (fleet saturated)".into(),
-                                }
-                            }
-                        }
-                    })
-                    .collect()
-            });
+                    }
+                    match place_and_record(
+                        shared,
+                        worker,
+                        &model,
+                        (game, resolution),
+                        admitted,
+                        trace,
+                        &mut effects.meta,
+                    ) {
+                        Some((session, server, predicted_fps)) => BatchPlaceResult::Placed {
+                            session,
+                            server,
+                            predicted_fps,
+                        },
+                        None => BatchPlaceResult::Rejected {
+                            reason: SATURATED.into(),
+                        },
+                    }
+                })
+                .collect();
             (
                 Response::PlacedBatch {
                     model_version: model.version,
@@ -1391,9 +1341,7 @@ fn handle_request(
             // The id scheme routes every session to exactly one shard, so a
             // depart touches one lock — never the whole fleet.
             let owner = shared.shard_of_session(*session);
-            let wait_started = Instant::now();
-            let mut shard = shared.shards[owner].lock();
-            trace.add(Stage::PlaceAdmitWait, elapsed_us(wait_started));
+            let mut shard = lock_shard(shared, owner, trace);
             let Shard {
                 cluster,
                 scores,
@@ -1466,7 +1414,7 @@ fn handle_request(
                     *qos,
                     (*game, *resolution),
                     others,
-                    &mut s.borrow_mut().predict,
+                    &mut s.borrow_mut().scorer.predict,
                 )
             });
             trace.add(Stage::Predict, elapsed_us(predict_started));
@@ -1532,8 +1480,7 @@ fn handle_request(
             }
         }
         Request::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            shared.queue.close();
+            shared.begin_shutdown();
             (Response::ShuttingDown, true)
         }
     }

@@ -128,8 +128,9 @@ pub struct StatsSnapshot {
     /// leak into `active_sessions`.
     #[serde(default)]
     pub placements_rolled_back: u64,
-    /// Placement shards the fleet is partitioned into (1 = the classic
-    /// single-lock fleet).
+    /// Placement shards the fleet is partitioned into (1 = one placement
+    /// domain spanning the whole fleet; every count runs the same two-phase
+    /// admit).
     #[serde(default)]
     pub shards: usize,
     /// Sessions currently placed, per shard (indexed by shard id).
@@ -145,7 +146,7 @@ pub struct StatsSnapshot {
     #[serde(default)]
     pub place_admit_retries: u64,
     /// Two-phase admits that exhausted their retries and fell back to the
-    /// next-best shard's candidate.
+    /// best-ranked shard that still admits.
     #[serde(default)]
     pub place_admit_fallbacks: u64,
     /// `Depart` requests naming a session id that was not placed (already
@@ -268,7 +269,9 @@ impl std::fmt::Display for StatsSnapshot {
             "  placements:        {} admitted / {} rolled back",
             self.placements_admitted, self.placements_rolled_back
         )?;
-        if self.shards > 1 {
+        // A one-shard fleet under concurrent placements can lose the epoch
+        // race too, so its retries are shown whenever there are any.
+        if self.shards > 1 || self.place_admit_retries + self.place_admit_fallbacks > 0 {
             writeln!(
                 f,
                 "  shards:            {} ({} admit retries / {} fallbacks), per-shard active {:?}",
@@ -428,8 +431,6 @@ pub struct AtomicStats {
     malformed: AtomicU64,
     admitted: AtomicU64,
     rolled_back: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
     admit_retries: AtomicU64,
     admit_fallbacks: AtomicU64,
     depart_unknown: AtomicU64,
@@ -466,8 +467,6 @@ impl AtomicStats {
             malformed: AtomicU64::new(0),
             admitted: AtomicU64::new(0),
             rolled_back: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
             admit_retries: AtomicU64::new(0),
             admit_fallbacks: AtomicU64::new(0),
             depart_unknown: AtomicU64::new(0),
@@ -549,15 +548,6 @@ impl AtomicStats {
         self.malformed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count a prediction-memo hit or miss.
-    pub fn note_cache(&self, hit: bool) {
-        if hit {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Snapshot every counter. `model_version`, `active_sessions` and
     /// `servers` come from the daemon, which owns that state.
     pub fn snapshot(
@@ -601,11 +591,11 @@ impl AtomicStats {
             place_admit_retries: self.admit_retries.load(Ordering::Relaxed),
             place_admit_fallbacks: self.admit_fallbacks.load(Ordering::Relaxed),
             depart_unknown_sessions: self.depart_unknown.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            // The score cache, shard layout and the feedback subsystem live
-            // outside these atomics; the daemon fills all of the below in
-            // when it assembles the full snapshot.
+            // The prediction memo, score cache, shard layout and the
+            // feedback subsystem live outside these atomics; the daemon
+            // fills all of the below in when it assembles the full snapshot.
+            cache_hits: 0,
+            cache_misses: 0,
             shards: 0,
             shard_active_sessions: Vec::new(),
             shard_misrouted_sessions: 0,

@@ -37,10 +37,9 @@ pub enum Request {
         /// The requested display resolution.
         resolution: Resolution,
     },
-    /// Admit a burst of sessions in one frame. The whole batch is placed
-    /// under a single fleet-lock acquisition, amortizing locking and score
-    /// computation; items are placed in order and each succeeds or is
-    /// rejected independently.
+    /// Admit a burst of sessions in one frame, amortizing the round trip
+    /// and framing; items are placed in order, each with the same admit as
+    /// a lone `Place`, and each succeeds or is rejected independently.
     PlaceBatch {
         /// The arriving sessions, in placement order.
         requests: Vec<WirePlacement>,

@@ -764,12 +764,34 @@ fn the_read_deadline_cuts_a_stalled_half_frame() {
 #[test]
 fn shutdown_request_over_the_wire_stops_the_daemon() {
     let handle = daemon::start(quiet_config(), ModelHandle::from_model(model())).unwrap();
+    // A second client that stays connected and silent must not hold the
+    // drain for its read timeout.
+    let idle = TcpStream::connect(handle.local_addr()).unwrap();
     let mut client = Client::connect(handle.local_addr()).unwrap();
     client.place(GameId(0), Resolution::Fhd1080).unwrap();
+    let started = std::time::Instant::now();
     client.shutdown().unwrap();
     let stats = handle.wait();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "wire shutdown took {took:?}");
     assert_eq!(stats.per_request["place"].ok, 1);
     assert_eq!(stats.per_request["shutdown"].ok, 1);
+    drop(idle);
+}
+
+#[test]
+fn shutdown_with_an_idle_client_is_bounded() {
+    let handle = daemon::start(quiet_config(), ModelHandle::from_model(model())).unwrap();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    client.place(GameId(0), Resolution::Fhd1080).unwrap();
+    // The client stays connected and silent: its worker is blocked reading
+    // it, and shutdown must wake it instead of waiting out the read timeout.
+    let started = std::time::Instant::now();
+    let stats = handle.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    assert_eq!(stats.per_request["place"].ok, 1);
+    drop(client);
 }
 
 #[test]

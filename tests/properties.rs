@@ -78,17 +78,25 @@ proptest! {
         prop_assert!(g.predict_qos(0.1, t, &os) || g.predict_fps(t, &os) < 0.1);
     }
 
-    /// With a single shard the daemon must reproduce the classic
-    /// single-lock placement loop bit for bit: same accept/reject stream,
-    /// same server choices, same predicted-FPS bits, same departed-server
-    /// replies and same score-cache hit/miss counts, for any interleaving
-    /// of places and departs. This pins the `shards = 1` fast path to the
-    /// pre-sharding semantics.
+    /// At every shard count the daemon must reproduce a sequential
+    /// reference placement loop bit for bit: same accept/reject stream,
+    /// same global server choices and session ids, same predicted-FPS bits,
+    /// same departed-server replies and same summed score-cache hit/miss
+    /// counts, for any interleaving of places and departs. The reference
+    /// keeps one occupancy map and one score cache per contiguous shard
+    /// range, scores every shard, ranks the candidates, drops the losing
+    /// shards' speculative entries and admits the winner's selection as it
+    /// is. At one shard that is the classic single-lock loop step for step
+    /// (score, predict, admit). A second scoring pass on the daemon's admit
+    /// path would show up here as extra score-cache hits.
     #[test]
-    fn single_shard_daemon_is_bit_identical_to_single_lock_reference(
+    fn daemon_is_bit_identical_to_sharded_reference(
+        n_shards in 1usize..=3,
         ops in proptest::collection::vec((any::<bool>(), 0usize..16, 0u8..4, 0usize..64), 1..40),
     ) {
-        use gaugur::sched::{select_server_incremental_with, PlacementScratch, ScoreCache};
+        use gaugur::sched::{
+            rank_shard_selections, select_server_incremental_with, PlacementScratch, ScoreCache,
+        };
         use gaugur::serve::model::{LoadedModel, MemoizedFps, PredictionMemo};
         use gaugur::serve::{daemon, ClientError, ClusterState};
 
@@ -97,8 +105,9 @@ proptest! {
         const N_SERVERS: usize = 3;
         const QOS: f64 = 60.0;
 
-        // The pre-refactor reference: one occupancy map, one score cache,
-        // driven inline — exactly what the daemon did under its global lock.
+        // The reference, driven inline: the daemon's shard layout (the
+        // first `N_SERVERS % n_shards` shards take one extra server; shard
+        // `s` mints the interleaved id stream with offset `s`).
         let model = LoadedModel {
             gaugur: g.clone(),
             version: 1,
@@ -106,14 +115,25 @@ proptest! {
         };
         let memo = PredictionMemo::new(1 << 16);
         let fps_model = MemoizedFps { model: &model, memo: &memo, qos: QOS };
-        let mut cluster = ClusterState::new(N_SERVERS);
-        let mut scores = ScoreCache::new(N_SERVERS);
+        let mut bases = Vec::new();
+        let mut clusters = Vec::new();
+        let mut scores = Vec::new();
+        let mut next_base = 0;
+        for s in 0..n_shards {
+            let size = N_SERVERS / n_shards + usize::from(s < N_SERVERS % n_shards);
+            bases.push(next_base);
+            next_base += size;
+            clusters.push(ClusterState::new_sharded(size, s as u64, n_shards as u64));
+            scores.push(ScoreCache::new(size));
+        }
         let mut scratch = PlacementScratch::new();
+        let mut candidates = Vec::with_capacity(n_shards);
+        let mut order = Vec::with_capacity(n_shards);
 
         let handle = daemon::start(
             DaemonConfig {
                 n_servers: N_SERVERS,
-                shards: 1,
+                shards: n_shards,
                 workers: 1,
                 qos: QOS,
                 print_stats_on_shutdown: false,
@@ -128,19 +148,30 @@ proptest! {
         for &(is_place, gi, ri, pick) in &ops {
             if is_place || live.is_empty() {
                 let placement: Placement = (f.catalog[gi].id, res_from(ri));
-                let sel = select_server_incremental_with(
-                    &cluster, placement, &fps_model, model.version, &mut scores, &mut scratch,
-                );
-                match sel {
-                    Some(sel) => {
+                candidates.clear();
+                for s in 0..n_shards {
+                    candidates.push(select_server_incremental_with(
+                        &clusters[s], placement, &fps_model, model.version, &mut scores[s],
+                        &mut scratch,
+                    ));
+                }
+                rank_shard_selections(&candidates, &mut order);
+                match order.first() {
+                    Some(&winner) => {
+                        for (s, candidate) in candidates.iter().enumerate() {
+                            if let (true, Some(c)) = (s != winner, candidate) {
+                                scores[s].invalidate(c.server);
+                            }
+                        }
+                        let sel = candidates[winner].expect("ranked shards hold a selection");
                         let (prediction, _) = memo.predict_with(
-                            &model, QOS, placement, cluster.members(sel.server),
+                            &model, QOS, placement, clusters[winner].members(sel.server),
                             &mut scratch.predict,
                         );
-                        let session = cluster.admit(sel.server, placement);
+                        let session = clusters[winner].admit(sel.server, placement);
                         let placed = client.place(placement.0, placement.1).unwrap();
                         prop_assert_eq!(placed.session, session);
-                        prop_assert_eq!(placed.server, sel.server);
+                        prop_assert_eq!(placed.server, bases[winner] + sel.server);
                         prop_assert_eq!(
                             placed.predicted_fps.to_bits(),
                             prediction.fps.to_bits(),
@@ -160,19 +191,23 @@ proptest! {
                 }
             } else {
                 let id = live.swap_remove(pick % live.len());
-                let placed = cluster.depart(id).expect("reference owns every live id");
-                scores.invalidate(placed.server);
+                let owner = ((id - 1) % n_shards as u64) as usize;
+                let placed = clusters[owner].depart(id).expect("reference owns every live id");
+                scores[owner].invalidate(placed.server);
                 let server = client.depart(id).unwrap();
-                prop_assert_eq!(server, placed.server);
+                prop_assert_eq!(server, bases[owner] + placed.server);
             }
         }
 
         let stats = client.stats().unwrap();
-        let (hits, misses) = scores.counts();
+        let (hits, misses) = scores
+            .iter()
+            .map(ScoreCache::counts)
+            .fold((0, 0), |(h, m), (sh, sm)| (h + sh, m + sm));
         prop_assert_eq!(stats.score_hits, hits);
         prop_assert_eq!(stats.score_misses, misses);
         prop_assert_eq!(stats.active_sessions, live.len() as u64);
-        prop_assert_eq!(stats.shards, 1);
+        prop_assert_eq!(stats.shards, n_shards);
         prop_assert_eq!(stats.place_admit_retries, 0);
         prop_assert_eq!(stats.place_admit_fallbacks, 0);
         handle.shutdown();
