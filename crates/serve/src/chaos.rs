@@ -41,7 +41,8 @@ use crate::feedback::FeedbackConfig;
 use crate::model::ModelHandle;
 use crate::stats::StatsSnapshot;
 use crate::wire::{
-    read_frame, write_frame, BatchPlaceResult, OutcomeReport, Request, Response, WirePlacement,
+    encode_frame, read_frame, write_frame, BatchPlaceResult, OutcomeReport, Request, Response,
+    WirePlacement,
 };
 use gaugur_gamesim::rng::rng_for;
 use gaugur_gamesim::{GameId, Resolution};
@@ -304,6 +305,7 @@ struct Runner {
     connects: u64,
     corrupt_sent: u64,
     oversized_sent: u64,
+    frame: Vec<u8>,
 }
 
 fn connect(addr: SocketAddr, timeout: Duration) -> Result<TcpStream, String> {
@@ -313,15 +315,6 @@ fn connect(addr: SocketAddr, timeout: Duration) -> Result<TcpStream, String> {
         .set_read_timeout(Some(timeout))
         .map_err(|e| e.to_string())?;
     Ok(stream)
-}
-
-fn encode(request: &Request) -> Vec<u8> {
-    let payload = serde_json::to_string(request)
-        .expect("request serializes")
-        .into_bytes();
-    let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
-    frame.extend_from_slice(&payload);
-    frame
 }
 
 impl Runner {
@@ -340,6 +333,7 @@ impl Runner {
             connects: 1,
             corrupt_sent: 0,
             oversized_sent: 0,
+            frame: Vec::new(),
         })
     }
 
@@ -408,6 +402,7 @@ impl Runner {
     /// fault (placements); reply loss on any other operation is an oracle
     /// violation, not a tolerated fault.
     fn send_op(&mut self, request: &Request, reply_faultable: bool) -> Result<Delivery, String> {
+        encode_frame(request, &mut self.frame).map_err(|e| e.to_string())?;
         match self.injector.decide(InjectionPoint::Request) {
             FaultAction::DropConnection => {
                 let _ = self.stream.shutdown(std::net::Shutdown::Both);
@@ -415,9 +410,7 @@ impl Runner {
                 Ok(Delivery::RequestLost)
             }
             FaultAction::TornFrame => {
-                let frame = encode(request);
-                let cut = frame.len() / 2;
-                let _ = self.stream.write_all(&frame[..cut]);
+                let _ = self.stream.write_all(&self.frame[..self.frame.len() / 2]);
                 let _ = self.stream.flush();
                 let _ = self.stream.shutdown(std::net::Shutdown::Both);
                 self.reconnect()?;
@@ -426,9 +419,8 @@ impl Runner {
             FaultAction::StalledFrame => {
                 // Header plus half the payload, then silence: only the
                 // daemon's read deadline can end this connection.
-                let frame = encode(request);
-                let cut = 4 + (frame.len() - 4) / 2;
-                let _ = self.stream.write_all(&frame[..cut]);
+                let cut = 4 + (self.frame.len() - 4) / 2;
+                let _ = self.stream.write_all(&self.frame[..cut]);
                 let _ = self.stream.flush();
                 self.wait_for_close()?;
                 self.reconnect()?;
@@ -455,10 +447,9 @@ impl Runner {
                 // Correct length, poisoned payload: the stream stays
                 // framed, so the daemon must answer an error and *keep*
                 // the connection.
-                let mut frame = encode(request);
-                frame[4] = 0xFF;
+                self.frame[4] = 0xFF;
                 self.stream
-                    .write_all(&frame)
+                    .write_all(&self.frame)
                     .map_err(|e| format!("corrupt-frame write failed: {e}"))?;
                 self.stream.flush().map_err(|e| e.to_string())?;
                 self.corrupt_sent += 1;
@@ -468,7 +459,8 @@ impl Runner {
                 }
             }
             _ => {
-                write_frame(&mut self.stream, request)
+                self.stream
+                    .write_all(&self.frame)
                     .map_err(|e| format!("request write failed: {e}"))?;
                 match read_frame(&mut self.stream) {
                     Ok(response) => Ok(Delivery::Reply(response)),

@@ -4,11 +4,11 @@
 
 use crate::stats::StatsSnapshot;
 use crate::wire::{
-    read_frame, write_frame, BatchPlaceResult, FrameError, OutcomeReport, Request, Response,
+    encode_frame, read_frame, BatchPlaceResult, FrameError, OutcomeReport, Request, Response,
     WirePlacement,
 };
 use gaugur_gamesim::{GameId, Resolution};
-use std::io;
+use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -184,6 +184,7 @@ impl RetryPolicy {
 pub struct Client {
     stream: TcpStream,
     peer: SocketAddr,
+    buf: Vec<u8>,
 }
 
 impl Client {
@@ -192,7 +193,8 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         let peer = stream.peer_addr()?;
-        Ok(Client { stream, peer })
+        let buf = Vec::new();
+        Ok(Client { stream, peer, buf })
     }
 
     /// The daemon address this client is connected to.
@@ -248,7 +250,8 @@ impl Client {
     /// Send one request and read one response. The raw escape hatch — the
     /// typed helpers below are built on it.
     pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.stream, request)?;
+        encode_frame(request, &mut self.buf)?;
+        self.stream.write_all(&self.buf)?;
         Ok(read_frame(&mut self.stream)?)
     }
 
@@ -468,7 +471,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write as _;
+    use crate::wire::write_frame;
     use std::net::TcpListener;
 
     #[test]

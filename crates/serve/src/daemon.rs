@@ -36,8 +36,8 @@ use crate::slo::{
 use crate::stats::{AtomicStats, StatsSnapshot};
 use crate::trace::{elapsed_us, RequestTrace, SlowMeta, Stage, TraceCollector};
 use crate::wire::{
-    self, read_frame_bytes_capped, request_kind, write_frame, BatchPlaceResult, FrameError,
-    OutcomeReport, Request, Response,
+    self, encode_frame, read_frame_bytes_capped, request_kind, write_frame, BatchPlaceResult,
+    FrameError, OutcomeReport, Request, Response,
 };
 use gaugur_core::Placement;
 use gaugur_sched::{
@@ -718,18 +718,24 @@ fn rollback_admissions(shared: &Shared, admitted: &[Admitted]) {
     }
 }
 
-/// Write one reply frame, applying reply-side fault injection when the
-/// request is a placement (`faultable`). Restricting injection to placement
-/// replies keeps control-plane round-trips (stats polling in particular)
-/// from drawing on the injector's stream, which the chaos harness's
-/// determinism depends on.
+/// Write one reply frame from the connection's reusable `frame` buffer,
+/// applying reply-side fault injection when the request is a placement
+/// (`faultable`). Restricting injection to placement replies keeps
+/// control-plane round-trips (stats polling in particular) from drawing on
+/// the injector's stream, which the chaos harness's determinism depends on.
+///
+/// `Ok(false)` means `response` was too large to frame and a short `Error`
+/// went out in its place: the connection is intact, but the client never
+/// learned what the request admitted.
 fn write_reply(
     shared: &Shared,
     stream: &mut TcpStream,
+    frame: &mut Vec<u8>,
     response: &Response,
     faultable: bool,
     trace: &mut RequestTrace,
-) -> io::Result<()> {
+) -> io::Result<bool> {
+    let mut torn = false;
     if faultable {
         if let Some(injector) = &shared.config.fault {
             match injector.decide(InjectionPoint::Reply) {
@@ -745,23 +751,7 @@ fn write_reply(
                 }
                 FaultAction::TornFrame => {
                     shared.recorder.record_control(Event::Fault { point: 1 });
-                    let encode_started = Instant::now();
-                    let payload = serde_json::to_string(response)
-                        .map_err(io::Error::other)?
-                        .into_bytes();
-                    trace.add(Stage::Encode, elapsed_us(encode_started));
-                    let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
-                    frame.extend_from_slice(&payload);
-                    let cut = frame.len() / 2;
-                    let write_started = Instant::now();
-                    let _ = stream.write_all(&frame[..cut]);
-                    let _ = stream.flush();
-                    trace.add(Stage::WriteReply, elapsed_us(write_started));
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
-                    return Err(io::Error::new(
-                        io::ErrorKind::ConnectionAborted,
-                        "injected torn reply",
-                    ));
+                    torn = true;
                 }
                 FaultAction::Stall(ms) => {
                     // The stall models a stalled reply write, so its wait is
@@ -776,23 +766,36 @@ fn write_reply(
         }
     }
     let encode_started = Instant::now();
-    let payload = serde_json::to_string(response)
-        .map_err(io::Error::other)?
-        .into_bytes();
+    let delivered = match encode_frame(response, frame) {
+        Ok(()) => true,
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+            // No reader accepts a frame above the cap, so send a reply it
+            // can decode instead of one it must reject.
+            let message = format!("reply not sent: {e}");
+            encode_frame(&Response::Error { message }, frame)?;
+            false
+        }
+        Err(e) => return Err(e),
+    };
     trace.add(Stage::Encode, elapsed_us(encode_started));
-    debug_assert!(payload.len() <= wire::MAX_FRAME_LEN);
     let write_started = Instant::now();
-    let result = stream
-        .write_all(&(payload.len() as u32).to_be_bytes())
-        .and_then(|()| stream.write_all(&payload))
-        .and_then(|()| stream.flush());
+    let cut = if torn { frame.len() / 2 } else { frame.len() };
+    let result = stream.write_all(&frame[..cut]);
     trace.add(Stage::WriteReply, elapsed_us(write_started));
-    result
+    if torn {
+        let _ = stream.shutdown(std::net::Shutdown::Both);
+        return Err(io::Error::new(
+            io::ErrorKind::ConnectionAborted,
+            "injected torn reply",
+        ));
+    }
+    result.map(|()| delivered)
 }
 
 fn serve_connection(shared: &Shared, worker: usize, mut stream: TcpStream) {
     let draining_timeout = Duration::from_millis(100);
     let mut admitted: Vec<Admitted> = Vec::new();
+    let mut frame = Vec::new();
     loop {
         let draining = shared.shutdown.load(Ordering::SeqCst);
         if draining {
@@ -854,7 +857,14 @@ fn serve_connection(shared: &Shared, worker: usize, mut stream: TcpStream) {
         shared.stats.record(kind, ok, latency_us);
 
         let faultable = matches!(request, Request::Place { .. } | Request::PlaceBatch { .. });
-        let delivered = write_reply(shared, &mut stream, &response, faultable, &mut trace);
+        let sent = write_reply(
+            shared,
+            &mut stream,
+            &mut frame,
+            &response,
+            faultable,
+            &mut trace,
+        );
         // Stage samples flush after the write attempt so a `Stats` or
         // `Metrics` request's own snapshot excludes itself on both the
         // per-op and the per-stage side — the accounting stays reconciled
@@ -865,7 +875,7 @@ fn serve_connection(shared: &Shared, worker: usize, mut stream: TcpStream) {
         shared
             .windowed
             .record_request(worker, ok, faultable, &trace);
-        if delivered.is_ok() {
+        if matches!(sent, Ok(true)) {
             // Admit events exist exactly when the client learned its
             // sessions do — the flight recorder's event stream mirrors the
             // conservation oracle (admitted = confirmed + rolled back).
@@ -905,7 +915,7 @@ fn serve_connection(shared: &Shared, worker: usize, mut stream: TcpStream) {
         if shared.slo_engine.tick_due(shared.windowed.now_sec()) {
             let _ = shared.evaluate_slo();
         }
-        if delivered.is_err() {
+        if sent.is_err() {
             return;
         }
         if matches!(request, Request::Shutdown) {

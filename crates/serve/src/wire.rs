@@ -292,14 +292,27 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Serialize `msg` as one frame onto `w`.
+/// Frame `msg` into `buf` (replacing its contents) for one `write_all`: with
+/// `TCP_NODELAY`, a separate header write costs its own segment and reader
+/// wakeup. Payloads above [`MAX_FRAME_LEN`] are refused with `InvalidData`.
+pub fn encode_frame<T: Serialize>(msg: &T, buf: &mut Vec<u8>) -> io::Result<()> {
+    buf.clear();
+    buf.extend_from_slice(&[0; 4]);
+    serde_json::to_writer(&mut *buf, msg).map_err(io::Error::other)?;
+    let (len, cap) = (buf.len() - 4, MAX_FRAME_LEN);
+    if len > cap {
+        let too_large = FrameError::TooLarge { len, cap };
+        return Err(io::Error::new(io::ErrorKind::InvalidData, too_large));
+    }
+    buf[..4].copy_from_slice(&(len as u32).to_be_bytes());
+    Ok(())
+}
+
+/// Serialize `msg` as one frame onto `w`, in a single write.
 pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T) -> io::Result<()> {
-    let payload = serde_json::to_string(msg)
-        .map_err(io::Error::other)?
-        .into_bytes();
-    debug_assert!(payload.len() <= MAX_FRAME_LEN);
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(&payload)?;
+    let mut frame = Vec::new();
+    encode_frame(msg, &mut frame)?;
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -393,7 +406,19 @@ mod tests {
     use proptest::prelude::*;
     use std::io::Cursor;
 
+    /// `encode_frame` produces exactly the historical wire format: the
+    /// big-endian payload length, then the compact JSON payload.
+    fn assert_wire_format_unchanged<T: Serialize>(msg: &T) {
+        let payload = serde_json::to_string(msg).unwrap();
+        let mut want = (payload.len() as u32).to_be_bytes().to_vec();
+        want.extend_from_slice(payload.as_bytes());
+        let mut got = Vec::new();
+        encode_frame(msg, &mut got).unwrap();
+        assert_eq!(got, want);
+    }
+
     fn roundtrip_request(req: &Request) {
+        assert_wire_format_unchanged(req);
         let mut buf = Vec::new();
         write_frame(&mut buf, req).unwrap();
         let back: Request = read_frame(&mut Cursor::new(&buf)).unwrap();
@@ -401,6 +426,7 @@ mod tests {
     }
 
     fn roundtrip_response(resp: &Response) {
+        assert_wire_format_unchanged(resp);
         let mut buf = Vec::new();
         write_frame(&mut buf, resp).unwrap();
         let back: Response = read_frame(&mut Cursor::new(&buf)).unwrap();
@@ -548,6 +574,78 @@ mod tests {
         roundtrip_response(&Response::Error {
             message: "unknown game 999".into(),
         });
+    }
+
+    /// Counts the `write` calls that reach the transport.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_makes_one_write_per_frame() {
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, &Request::Stats).unwrap();
+        assert_eq!(w.writes, 1);
+        let stats = Response::Stats(Box::new(AtomicStats::new().snapshot(1, 0, 4)));
+        write_frame(&mut w, &stats).unwrap();
+        assert_eq!(w.writes, 2);
+        let mut cursor = Cursor::new(&w.bytes);
+        assert_eq!(
+            read_frame::<_, Request>(&mut cursor).unwrap(),
+            Request::Stats
+        );
+        assert_eq!(read_frame::<_, Response>(&mut cursor).unwrap(), stats);
+    }
+
+    #[test]
+    fn encode_frame_replaces_the_buffer_contents() {
+        let mut buf = Vec::new();
+        let big = Response::Metrics {
+            text: "x".repeat(4096),
+        };
+        encode_frame(&big, &mut buf).unwrap();
+        let capacity = buf.capacity();
+        encode_frame(&Request::Stats, &mut buf).unwrap();
+        let mut fresh = Vec::new();
+        encode_frame(&Request::Stats, &mut fresh).unwrap();
+        assert_eq!(buf, fresh);
+        assert_eq!(buf.capacity(), capacity, "the buffer was reallocated");
+    }
+
+    #[test]
+    fn encode_frame_refuses_payloads_above_the_cap() {
+        let overhead = serde_json::to_string(&Response::Metrics {
+            text: String::new(),
+        })
+        .unwrap()
+        .len();
+        let at_cap = Response::Metrics {
+            text: "x".repeat(MAX_FRAME_LEN - overhead),
+        };
+        let mut buf = Vec::new();
+        encode_frame(&at_cap, &mut buf).unwrap();
+        assert_eq!(buf.len(), 4 + MAX_FRAME_LEN);
+        let over = Response::Metrics {
+            text: "x".repeat(MAX_FRAME_LEN - overhead + 1),
+        };
+        let err = encode_frame(&over, &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let err = write_frame(&mut CountingWriter::default(), &over).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

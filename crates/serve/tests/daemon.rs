@@ -7,7 +7,7 @@ use gaugur_core::GAugur;
 use gaugur_gamesim::rng::rng_for;
 use gaugur_gamesim::{GameCatalog, GameId, Resolution, Server};
 use gaugur_sched::maxfps::MAX_PER_SERVER;
-use gaugur_serve::wire::{read_frame, write_frame, Request, Response};
+use gaugur_serve::wire::{encode_frame, read_frame, write_frame, Request, Response};
 use gaugur_serve::{
     daemon, load, BatchPlaceResult, Client, ClientError, DaemonConfig, LoadConfig, ModelHandle,
 };
@@ -722,6 +722,78 @@ fn frames_above_the_configured_cap_get_a_typed_error_then_close() {
 
     let stats = await_stats(addr, |s| s.malformed_frames == 1);
     assert_eq!(stats.malformed_frames, 1);
+    handle.shutdown();
+}
+
+#[test]
+fn a_reply_above_the_frame_cap_becomes_an_error_and_rolls_back() {
+    let handle = daemon::start(
+        DaemonConfig {
+            n_servers: 4,
+            ..quiet_config()
+        },
+        ModelHandle::from_model(model()),
+    )
+    .unwrap();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    client.set_timeout(Some(Duration::from_secs(30))).unwrap();
+    // 9,000 arrivals fit in one request frame (126,029 bytes), but their
+    // outcomes (almost all rejections on 4 servers) do not fit in a reply.
+    let requests = (0..9_000)
+        .map(|i| (GameId(i % N_GAMES), Resolution::Fhd1080))
+        .collect();
+    match client.call(&Request::PlaceBatch { requests }).unwrap() {
+        Response::Error { message } => {
+            assert!(message.contains("exceeds"), "unhelpful error: {message}")
+        }
+        other => panic!("expected an Error reply, got {other:?}"),
+    }
+    // The connection survives, and the batch's admissions were undone: the
+    // client never learned their session ids.
+    let stats = client.stats().unwrap();
+    assert!(stats.placements_admitted > 0);
+    assert_eq!(stats.placements_rolled_back, stats.placements_admitted);
+    assert_eq!(stats.active_sessions, 0);
+    gaugur_serve::verify_stage_accounting(&stats).unwrap();
+    handle.shutdown();
+}
+
+#[test]
+fn two_frames_in_one_write_are_answered_in_order() {
+    let handle = daemon::start(
+        DaemonConfig {
+            n_servers: 1,
+            ..quiet_config()
+        },
+        ModelHandle::from_model(model()),
+    )
+    .unwrap();
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    use std::io::Write as _;
+    // The same game twice on one server: the first is placed and the second
+    // is rejected (one instance of a game per server), so the replies show
+    // the order the daemon took the frames in.
+    let mut frame = Vec::new();
+    encode_frame(
+        &Request::Place {
+            game: GameId(0),
+            resolution: Resolution::Fhd1080,
+        },
+        &mut frame,
+    )
+    .unwrap();
+    stream.write_all(&frame.repeat(2)).unwrap();
+    match read_frame::<_, Response>(&mut stream).unwrap() {
+        Response::Placed { server: 0, .. } => {}
+        other => panic!("first frame answered {other:?}, want Placed"),
+    }
+    match read_frame::<_, Response>(&mut stream).unwrap() {
+        Response::Rejected { .. } => {}
+        other => panic!("second frame answered {other:?}, want Rejected"),
+    }
     handle.shutdown();
 }
 
